@@ -256,7 +256,7 @@ def test_ext_graph_replay(benchmark):
     train_identical = losses_on == losses_off
 
     # Counter collection runs separately: metric increments on every
-    # arena take are measurable at this model size, so the timed runs
+    # replay are measurable at this model size, so the timed runs
     # above stay registry-free on both sides.
     reg = MetricsRegistry()
     with use_registry(reg):

@@ -410,7 +410,7 @@ class TransformedLinear(Module):
             or (is_grad_enabled() and master.requires_grad)
         ):
             return self.effective_weight()
-        key = (id(master), master.version, tuple(t.cache_token() for t in wts))
+        key = self._fold_key_of(wts)
         if key == self._fold_key and self._fold_weight is not None:
             get_registry().counter("nn/fold/hits").inc()
             self._guard_fold_capture(key)
@@ -422,20 +422,30 @@ class TransformedLinear(Module):
         self._guard_fold_capture(key)
         return self._fold_weight
 
+    def _fold_key_of(self, wts: Sequence[Transform]) -> Tuple:
+        """Identity of the fold of ``wts`` over the current master weight:
+        master identity and version plus every transform's cache token."""
+        master = self.inner.weight
+        return (id(master), master.version, tuple(t.cache_token() for t in wts))
+
     def _guard_fold_capture(self, key) -> None:
         """If a graph capture is in flight, pin the fold-cache key.
 
         The folded weight enters the captured graph as a leaf; when the
         master weight or any transform token changes, ``_forward_weight``
         would serve a *new* tensor — which a replay never sees.  The
-        guard makes such graphs fail validation and re-capture instead
-        of replaying the stale fold."""
+        guard recomputes the key from the live master and transforms
+        (a replay runs no forward, so the cached ``_fold_key`` alone
+        would still match) and makes such graphs fail validation and
+        re-capture instead of replaying the stale fold."""
         recorder = _active_recorder()
         if recorder is None:
             return
         module = self
         recorder.add_guard(
-            lambda: module._fold_key == key and module._fold_weight is not None
+            lambda: module._fold_key == key
+            and module._fold_weight is not None
+            and module._fold_key_of(module.weight_transforms()) == key
         )
 
     # -- convenience views ---------------------------------------------

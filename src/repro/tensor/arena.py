@@ -2,14 +2,15 @@
 
 Every replayed train/decode step allocates the same set of intermediate
 arrays in the same order; going to the OS allocator for each one is pure
-overhead.  The arena keeps freed buffers in per-(shape, dtype) free lists:
-a graph *takes* an output buffer for every op that supports ``out=``
-writes on its first replay and pins the set (shapes are fixed per
-graph), so steady-state replays do zero allocator traffic; when a cache
-drops the graph, ``Graph.release()`` *gives* the slabs back so the
-re-captured graph — or any other graph with matching shapes — reuses
-them.  Replay outputs that live in pinned buffers are copied out, since
-the next replay overwrites them.
+overhead.  The arena keeps freed buffers in per-(shape, dtype) free lists.
+A graph replay *borrows* an output buffer for every op that supports
+``out=`` writes when it starts and *gives* the whole set back in its
+``finally``, so a buffer is owned by one replay at a time and never by a
+graph.  Every cached graph therefore draws on one shared working set:
+steady-state replays are served from the free lists with zero fresh
+reservations, and the pool holds, per (shape, dtype), only as many slabs
+as a single replay needs at once.  Replay outputs that live in borrowed
+buffers are copied out before the buffers go back.
 
 Counters: ``tensor/arena/bytes_reserved`` (fresh slab allocations) and
 ``tensor/arena/reuse_hits`` (allocations served from a free list).  The
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from typing import Dict, List, Tuple
+import threading
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -53,42 +55,80 @@ def arena_scope(enabled: bool = True):
         _ARENA_ENABLED.reset(token)
 
 
+_Key = Tuple[Tuple[int, ...], np.dtype]
+
+
 class Arena:
     """Free-list allocator of numpy buffers keyed by (shape, dtype)."""
 
     def __init__(self):
-        self._free: Dict[Tuple[Tuple[int, ...], np.dtype], List[np.ndarray]] = {}
+        self._free: Dict[_Key, List[np.ndarray]] = {}
+        # The arena is process-wide and replays in different threads
+        # borrow from the same free lists (check-then-pop is not atomic).
+        self._lock = threading.Lock()
         self.bytes_reserved = 0
         self.reuse_hits = 0
 
-    def take(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """Return a buffer of ``shape``/``dtype`` — recycled if available."""
-        key = (tuple(shape), np.dtype(dtype))
-        free = self._free.get(key)
-        if free:
-            self.reuse_hits += 1
-            get_registry().counter("tensor/arena/reuse_hits").inc()
-            return free.pop()
-        buf = np.empty(key[0], dtype=key[1])
-        self.bytes_reserved += buf.nbytes
-        get_registry().counter("tensor/arena/bytes_reserved").inc(buf.nbytes)
-        return buf
+    def take_many(self, groups: Sequence[Tuple[_Key, int]]) -> List[np.ndarray]:
+        """``count`` buffers per ``((shape, dtype), count)`` group, in group
+        order, recycled where possible.
+
+        Work and counter updates are per group, not per buffer, so a
+        replay borrowing hundreds of buffers of a few shapes stays cheap.
+        """
+        free = self._free
+        bufs: List[np.ndarray] = []
+        hits = fresh = 0
+        with self._lock:
+            for key, count in groups:
+                pooled = free.get(key)
+                reused = min(count, len(pooled)) if pooled else 0
+                if reused:
+                    bufs += pooled[-reused:]
+                    del pooled[-reused:]
+                for _ in range(count - reused):
+                    buf = np.empty(key[0], dtype=key[1])
+                    fresh += buf.nbytes
+                    bufs.append(buf)
+                hits += reused
+            self.reuse_hits += hits
+            self.bytes_reserved += fresh
+        if hits:
+            get_registry().counter("tensor/arena/reuse_hits").inc(hits)
+        if fresh:
+            get_registry().counter("tensor/arena/bytes_reserved").inc(fresh)
+        return bufs
 
     def give(self, buf: np.ndarray) -> None:
         """Return ``buf`` to its free list for reuse.
 
         The caller must no longer hold live views of ``buf`` — graph
-        replay guarantees this by copying outputs before release.
+        replay guarantees this by copying outputs before giving back.
         """
         if buf.base is not None:
             return  # never pool views; their memory belongs to another array
-        key = (buf.shape, buf.dtype)
-        self._free.setdefault(key, []).append(buf)
+        self.give_many([((buf.shape, buf.dtype), 1)], [buf])
+
+    def give_many(
+        self, groups: Sequence[Tuple[_Key, int]], bufs: Sequence[np.ndarray]
+    ) -> None:
+        """Return buffers taken with :meth:`take_many` for the same groups."""
+        free = self._free
+        start = 0
+        with self._lock:
+            for key, count in groups:
+                pooled = free.get(key)
+                if pooled is None:
+                    free[key] = list(bufs[start:start + count])
+                else:
+                    pooled += bufs[start:start + count]
+                start += count
 
     def drain(self) -> int:
         """Drop all pooled buffers; returns how many were held."""
-        count = sum(len(v) for v in self._free.values())
-        self._free.clear()
+        with self._lock:
+            count = sum(len(v) for v in self._free.values())
+            self._free.clear()
         return count
 
 

@@ -127,9 +127,9 @@ def _slot_shape(recorder, producer, slot: int) -> Optional[Tuple[int, ...]]:
     step = producer.get(slot)
     if step is not None:
         return step.out_shape
-    for lf in recorder.leaves:
-        if lf.slot == slot:
-            return lf.shape
+    for spec in (*recorder.leaves, *recorder.inputs):
+        if spec.slot == slot:
+            return spec.shape
     return None
 
 

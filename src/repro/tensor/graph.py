@@ -15,7 +15,9 @@ A :class:`GraphRecorder` installs itself as the tape's recorder
 call.  Tensors are classified into *slots*:
 
 * **inputs** — declared by the caller (token ids, activations, masks);
-  replays supply fresh arrays for these.
+  replays supply fresh arrays for these.  A graph keeps only each
+  input's recorded shape and dtype, never the capture-time tensor, so
+  cached graphs do not keep capture-time activations or KV slabs alive.
 * **leaves** — every other tensor entering the graph from outside
   (parameters, buffers, constants).  Their values are read fresh from the
   live tensor at each replay, so optimizer updates flow through without
@@ -24,8 +26,8 @@ call.  Tensors are classified into *slots*:
 
 Validation and invalidation
 ---------------------------
-A captured graph bakes *structure*, never parameter values.  At lookup
-time the graph re-validates every leaf: shape, dtype, and
+A captured graph bakes *structure*, never parameter or input values.  At
+lookup time the graph re-validates every leaf: shape, dtype, and
 ``requires_grad`` must match capture time, and — for leaves *not* declared
 mutable — the tensor ``version`` counter must be unchanged.  Trainers
 declare their optimizer-managed parameters mutable (steps rebind
@@ -38,19 +40,21 @@ ride along in the same check.
 Replay
 ------
 ``Graph.replay`` walks the recorded steps over a flat value table,
-optionally serving step outputs from the arena allocator
-(:mod:`repro.tensor.arena`), then optionally runs the recorded backward
-program — a mirror of ``Tensor.backward``'s DFS order with identical
-accumulation semantics, so replayed gradients are bitwise equal to traced
-ones.  Legacy closure nodes (checkpointing, STE) mark a capture
-uncacheable: such graphs are never stored.
+optionally serving step outputs from arena buffers
+(:mod:`repro.tensor.arena`) that it borrows for this one replay and gives
+back in its ``finally``, so a graph owns no buffers between replays.  It
+then optionally runs the recorded backward program: a mirror of
+``Tensor.backward``'s DFS order with identical accumulation semantics, so
+replayed gradients are bitwise equal to traced ones.  Legacy closure
+nodes (checkpointing, STE) mark a capture uncacheable: such graphs are
+never stored.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,7 +127,8 @@ class _Step:
 
 
 class _Leaf:
-    """A non-step slot: a live tensor read fresh at every replay."""
+    """A slot that is neither a step nor a declared input: a live tensor
+    (parameter, buffer, constant) read fresh at every replay."""
 
     __slots__ = ("slot", "tensor", "version", "requires_grad", "mutable", "shape", "dtype")
 
@@ -135,6 +140,14 @@ class _Leaf:
         self.mutable = mutable
         self.shape = tensor._data.shape
         self.dtype = tensor._data.dtype
+
+
+class _Input(NamedTuple):
+    """A declared input slot: its recorded shape and dtype, no tensor."""
+
+    slot: int
+    shape: Tuple[int, ...]
+    dtype: np.dtype
 
 
 class GraphRecorder:
@@ -161,7 +174,7 @@ class GraphRecorder:
         # corrupting the slot maps.
         self._keep: List[Tensor] = []
         self._mutable_ids = {id(t) for t in mutable}
-        self._inputs: List[int] = []
+        self.inputs: List[_Input] = []
         self._rg: List[bool] = []
         self._token = None
 
@@ -180,12 +193,16 @@ class GraphRecorder:
         self._by_aid[id(tensor._data)] = slot
         self._keep.append(tensor)
 
-    def _new_leaf(self, tensor: Tensor) -> int:
+    def _new_slot(self, tensor: Tensor) -> int:
         slot = self.nslots
         self.nslots += 1
-        self.leaves.append(_Leaf(slot, tensor, id(tensor) in self._mutable_ids))
         self._rg.append(tensor.requires_grad)
         self._register(tensor, slot)
+        return slot
+
+    def _new_leaf(self, tensor: Tensor) -> int:
+        slot = self._new_slot(tensor)
+        self.leaves.append(_Leaf(slot, tensor, id(tensor) in self._mutable_ids))
         return slot
 
     def _lookup(self, tensor: Tensor) -> Optional[int]:
@@ -200,11 +217,16 @@ class GraphRecorder:
         return slot
 
     def add_input(self, tensor: Tensor) -> Tensor:
-        """Declare ``tensor`` as a dynamic graph input; returns it."""
+        """Declare ``tensor`` as a dynamic graph input; returns it.
+
+        Only the slot's shape and dtype are recorded: every replay
+        supplies a fresh array, so the graph never reads this tensor."""
         slot = self._lookup(tensor)
         if slot is None:
-            slot = self._new_leaf(tensor)
-        self._inputs.append(slot)
+            slot = self._new_slot(tensor)
+        else:
+            self.leaves = [lf for lf in self.leaves if lf.slot != slot]
+        self.inputs.append(_Input(slot, tensor._data.shape, tensor._data.dtype))
         return tensor
 
     def add_guard(self, guard: Callable[[], bool]) -> None:
@@ -285,7 +307,7 @@ class GraphRecorder:
             nslots=self.nslots,
             steps=steps,
             leaves=self.leaves,
-            input_slots=tuple(self._inputs),
+            inputs=self.inputs,
             output_slots=tuple(out_slots),
             loss_slot=loss_slot,
             bwd=bwd,
@@ -338,7 +360,7 @@ class Graph:
         nslots: int,
         steps: Sequence[_Step],
         leaves: Sequence[_Leaf],
-        input_slots: Tuple[int, ...],
+        inputs: Sequence[_Input],
         output_slots: Tuple[int, ...],
         loss_slot: Optional[int],
         bwd,
@@ -348,7 +370,8 @@ class Graph:
         self.nslots = nslots
         self.steps = list(steps)
         self.leaves = list(leaves)
-        self.input_slots = input_slots
+        self.inputs = tuple(inputs)
+        self.input_slots = tuple(inp.slot for inp in self.inputs)
         self.output_slots = output_slots
         self.loss_slot = loss_slot
         self.bwd = bwd
@@ -365,11 +388,9 @@ class Graph:
         # Flat execution plan built on first replay: one tuple per step,
         # so the hot loop does no attribute lookups.
         self._plan = None
-        # Arena buffers pinned to the graph on its first arena replay:
-        # shapes are fixed per graph, so steady-state replays do zero
-        # allocator traffic.  ``release()`` returns them to the pool.
-        self._bufs: Optional[List[Optional[np.ndarray]]] = None
-        self._buf_ids: Optional[set] = None
+        # ((shape, dtype), count) per distinct buffer shape the replay
+        # borrows from the arena; built with the plan.
+        self._buf_groups: List = []
 
     # -- validation ---------------------------------------------------------
     def validate(self) -> bool:
@@ -394,39 +415,41 @@ class Graph:
 
     # -- replay -------------------------------------------------------------
     def _compute_buffer_ok(self) -> List[bool]:
+        # Validation pins leaf dtypes to their recorded ones, and input
+        # dtypes are part of every cache key, so recorded dtypes suffice.
+        dtypes = {step.out: step.out_dtype for step in self.steps}
+        dtypes.update((lf.slot, lf.dtype) for lf in self.leaves)
+        dtypes.update((inp.slot, inp.dtype) for inp in self.inputs)
         ok = []
         for step in self.steps:
             if not step.op.supports_out:
                 ok.append(False)
                 continue
-            in_dtypes = []
-            for ps in step.parents:
-                lf_t = self._leaf_by_slot.get(ps)
-                if lf_t is not None:
-                    in_dtypes.append(lf_t._data.dtype)
-                else:
-                    in_dtypes.append(self._step_dtype(ps))
             try:
-                natural = np.result_type(*in_dtypes)
+                natural = np.result_type(*[dtypes[ps] for ps in step.parents])
             except TypeError:
                 ok.append(False)
                 continue
             ok.append(natural == step.out_dtype)
         return ok
 
-    def _step_dtype(self, slot: int):
-        for step in self.steps:
-            if step.out == slot:
-                return step.out_dtype
-        raise KeyError(slot)
-
     def _build_plan(self):
         if self._buffer_ok is None:
             self._buffer_ok = self._compute_buffer_ok()
+        # Buffers arrive grouped by shape (see ``Arena.take_many``); the
+        # last plan field is the step's index into that grouped list.
+        members: Dict = {}
+        for k, (step, ok) in enumerate(zip(self.steps, self._buffer_ok)):
+            if ok:
+                key = (tuple(step.out_shape), np.dtype(step.out_dtype))
+                members.setdefault(key, []).append(k)
+        self._buf_groups = [(key, len(ks)) for key, ks in members.items()]
+        buf_index = {k: i for i, k in enumerate(
+            k for ks in members.values() for k in ks)}
         return [
             (step.op.forward, step.parents, step.attrs, step.out,
-             step.out_shape, step.out_dtype, ok)
-            for step, ok in zip(self.steps, self._buffer_ok)
+             step.out_dtype, buf_index.get(k))
+            for k, step in enumerate(self.steps)
         ]
 
     def replay(
@@ -452,32 +475,25 @@ class Graph:
         for lf in self.leaves:
             vals[lf.slot] = lf.tensor._data
         for slot, arr in zip(self.input_slots, inputs):
-            arr = np.asarray(arr)
-            vals[slot] = arr
-        use_arena = arena_enabled()
+            vals[slot] = np.asarray(arr)
         ctxs = self._ctxs
         plan = self._plan
         if plan is None:
             plan = self._plan = self._build_plan()
+        # Buffers are borrowed for this replay only and given back in the
+        # ``finally``, so every cached graph shares one working set.
+        arena = get_arena() if arena_enabled() else None
+        bufs = arena.take_many(self._buf_groups) if arena is not None else None
         try:
             # Replay dtypes are pinned by validation (leaf dtypes checked,
             # input dtypes part of the cache key), so each step's result
             # dtype is deterministic: casting to the recorded out_dtype
             # reproduces the trace-time downcast rule exactly.
-            if use_arena:
-                bufs = self._bufs
-                if bufs is None:
-                    take = get_arena().take
-                    bufs = self._bufs = [
-                        take(oshape, odtype) if buf_ok else None
-                        for (_f, _p, _a, _o, oshape, odtype, buf_ok) in plan
-                    ]
-                    self._buf_ids = {id(b) for b in bufs if b is not None}
-                for k, (fwd, parents, attrs, out_slot, _oshape, odtype,
-                        _buf_ok) in enumerate(plan):
+            if bufs is not None:
+                for k, (fwd, parents, attrs, out_slot, odtype, b) in enumerate(plan):
                     ins = tuple([vals[s] for s in parents])
-                    buf = bufs[k]
-                    if buf is not None:
+                    if b is not None:
+                        buf = bufs[b]
                         out_data, ctxs[k] = fwd(ins, attrs, out=buf)
                         if out_data is buf:
                             vals[out_slot] = buf
@@ -489,8 +505,7 @@ class Graph:
                         arr = arr.astype(odtype)
                     vals[out_slot] = arr
             else:
-                for k, (fwd, parents, attrs, out_slot, _oshape, odtype,
-                        _buf_ok) in enumerate(plan):
+                for k, (fwd, parents, attrs, out_slot, odtype, _b) in enumerate(plan):
                     out_data, ctxs[k] = fwd(
                         tuple([vals[s] for s in parents]), attrs
                     )
@@ -499,10 +514,10 @@ class Graph:
                         arr = arr.astype(odtype)
                     vals[out_slot] = arr
             outs = [vals[s] for s in self.output_slots]
-            if use_arena and self._buf_ids:
-                # Pinned buffers are overwritten by the next replay; hand
-                # the caller stable copies (views of buffers included).
-                buf_ids = self._buf_ids
+            if bufs is not None:
+                # Borrowed buffers go back to the pool when this replay
+                # ends; hand the caller stable copies (views included).
+                buf_ids = {id(b) for b in bufs}
                 outs = [
                     o.copy() if (o.base is not None or id(o) in buf_ids) else o
                     for o in outs
@@ -515,21 +530,8 @@ class Graph:
                 ctxs[k] = None
             for n in range(self.nslots):
                 vals[n] = None
-
-    def release(self) -> None:
-        """Return pinned arena buffers to the pool.
-
-        Called when a cache drops the graph (invalidation or overwrite) so
-        the re-captured graph's first replay reuses the same slabs.  Safe
-        to call more than once.
-        """
-        bufs, self._bufs = self._bufs, None
-        self._buf_ids = None
-        if bufs:
-            arena = get_arena()
-            for buf in bufs:
-                if buf is not None:
-                    arena.give(buf)
+            if bufs is not None:
+                arena.give_many(self._buf_groups, bufs)
 
     def _run_backward(self, vals, ctxs) -> None:
         root = self.loss_slot
@@ -592,7 +594,6 @@ class GraphCache:
             return None
         if not graph.validate():
             del self._graphs[key]
-            graph.release()
             get_registry().counter("tensor/graph/invalidations").inc()
             return None
         return graph
@@ -603,9 +604,6 @@ class GraphCache:
         if not graph.cacheable:
             self._uncacheable.add(key)
             return False
-        old = self._graphs.get(key)
-        if old is not None and old is not graph:
-            old.release()
         self._graphs[key] = graph
         get_registry().counter("tensor/graph/captures").inc()
         return True
@@ -614,8 +612,6 @@ class GraphCache:
         return key in self._uncacheable
 
     def clear(self) -> None:
-        for graph in self._graphs.values():
-            graph.release()
         self._graphs.clear()
         self._uncacheable.clear()
 

@@ -14,7 +14,7 @@ from repro.nn.transforms import (
 from repro.obs import MetricsRegistry, use_registry
 from repro.quant.formats import QuantSpec
 from repro.quant.qmodule import fake_quant_ste
-from repro.tensor import Tensor, check_gradients, no_grad
+from repro.tensor import GraphCache, GraphRecorder, Tensor, check_gradients, no_grad
 
 
 def make_layer(bits=4, ratio=0.5, seed=0):
@@ -139,6 +139,36 @@ class TestFolding:
         with fold_disabled():
             assert not fold_enabled()
         assert fold_enabled()
+
+
+class TestFoldCaptureGuard:
+    def test_master_edit_invalidates_graph_without_live_forward(self):
+        """A graph replayed with no forward since the master weight
+        changed must not serve the stale folded weight."""
+        rng = np.random.default_rng(0)
+        mask = (rng.random((8, 8)) > 0.5).astype(np.float32)
+        layer = TransformedLinear(Linear(8, 8, rng=rng), [PruneMask(mask)])
+        x = Tensor(rng.standard_normal((3, 8)).astype(np.float32))
+        cache = GraphCache()
+        with no_grad():
+            layer(x)  # fold outside the capture: the graph reads the fold
+            with GraphRecorder() as rec:
+                rec.add_input(x)
+                y = layer(x)
+            assert cache.store("k", rec.finalize([y]))
+            assert cache.lookup("k") is not None
+
+            layer.weight.data = layer.weight.data * 2
+            layer.weight.bump_version()
+            assert cache.lookup("k") is None
+            # Re-captured after the edit, the graph matches a live forward.
+            with GraphRecorder() as rec:
+                rec.add_input(x)
+                y = layer(x)
+            cache.store("k", rec.finalize([y]))
+            x2 = rng.standard_normal((3, 8)).astype(np.float32)
+            (replayed,) = cache.lookup("k").replay([x2])
+            np.testing.assert_array_equal(replayed, layer(Tensor(x2)).data)
 
 
 class TestAttachDetach:

@@ -7,7 +7,9 @@ impossible), and the arena/capture/grad/fusion toggles are contextvars —
 scoped per thread, never leaking across.
 """
 
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, use_registry
 from repro.tensor import (
+    Arena,
     GraphCache,
     GraphRecorder,
     Tensor,
@@ -147,7 +150,10 @@ class TestInvalidation:
     @given(victim=st.integers(0, 2), seed=st.integers(0, 10_000))
     def test_stale_replay_impossible(self, victim, seed):
         """Property: after any leaf mutation + bump, the cached graph is
-        unreachable and a fresh capture reproduces eager on the new data."""
+        unreachable and a fresh capture reproduces eager on the new data.
+        The declared input ``x`` is not a leaf: the graph never reads the
+        capture-time tensor, so mutating it leaves the graph valid and
+        its replay on a new input equal to eager."""
         rng = np.random.default_rng(seed)
         x, w, b = randt((3, 4), seed), randt((4, 4), seed + 1), randt((4,), seed + 2)
         cache = GraphCache()
@@ -156,11 +162,27 @@ class TestInvalidation:
         leaf = (x, w, b)[victim]
         leaf.data[:] = rng.standard_normal(leaf.shape).astype(np.float32)
         leaf.bump_version()
-        assert cache.lookup("k") is None
-
-        fresh = _capture(x, w, b, with_loss=False)
         x2 = rng.standard_normal((3, 4)).astype(np.float32)
-        (replayed,) = fresh.replay([x2])
+        if leaf is x:
+            graph = cache.lookup("k")
+            assert graph is not None
+        else:
+            assert cache.lookup("k") is None
+            graph = _capture(x, w, b, with_loss=False)
+        (replayed,) = graph.replay([x2])
+        np.testing.assert_array_equal(replayed, _forward(Tensor(x2), w, b).data)
+
+    def test_graph_does_not_retain_capture_time_inputs(self):
+        x, w, b = randt((4, 6), 0), randt((6, 6), 1), randt((6,), 2)
+        cache = GraphCache()
+        cache.store("k", _capture(x, w, b))
+        x_data = weakref.ref(x.data)
+        del x
+        assert x_data() is None
+        graph = cache.lookup("k")
+        assert graph is not None
+        x2 = np.random.default_rng(9).standard_normal((4, 6)).astype(np.float32)
+        (replayed,) = graph.replay([x2])
         np.testing.assert_array_equal(replayed, _forward(Tensor(x2), w, b).data)
 
 
@@ -191,26 +213,70 @@ class TestArena:
             (without,) = graph.replay([x2])
         np.testing.assert_array_equal(with_arena, without)
 
-    def test_replays_pin_buffers_and_release_refills_the_pool(self):
+    def test_replays_borrow_buffers_from_the_pool(self):
         x, w, b = randt((8, 16), 0), randt((16, 16), 1), randt((16,), 2)
         graph = _capture(x, w, b, with_loss=False)
         x2 = np.random.default_rng(8).standard_normal((8, 16)).astype(np.float32)
         with arena_scope(True):
-            graph.replay([x2])  # first replay takes + pins its buffers
+            graph.replay([x2])  # borrows its buffers, gives them back
             reg = MetricsRegistry()
             with use_registry(reg):
                 graph.replay([x2])
-            # Steady-state replays do zero allocator traffic.
-            assert reg.counter("tensor/arena/reuse_hits").value == 0
+            # Steady-state replays reserve nothing: every buffer comes
+            # back out of the free lists the previous replay refilled.
+            assert reg.counter("tensor/arena/reuse_hits").value > 0
             assert reg.counter("tensor/arena/bytes_reserved").value == 0
-            # Releasing the graph refills the pool: an identical fresh
-            # graph's first replay is served from the free lists.
-            graph.release()
-            fresh = _capture(x, w, b, with_loss=False)
-            reg2 = MetricsRegistry()
-            with use_registry(reg2):
-                fresh.replay([x2])
-            assert reg2.counter("tensor/arena/reuse_hits").value > 0
+
+    def test_graphs_with_equal_shapes_share_one_working_set(self):
+        graphs = [
+            _capture(randt((8, 16), s), randt((16, 16), s + 1),
+                     randt((16,), s + 2), with_loss=False)
+            for s in (0, 10)
+        ]
+        x2 = np.random.default_rng(8).standard_normal((8, 16)).astype(np.float32)
+        get_arena().drain()
+        with arena_scope(True):
+            reserved = []
+            for graph in graphs:
+                reg = MetricsRegistry()
+                with use_registry(reg):
+                    graph.replay([x2])
+                reserved.append(reg.counter("tensor/arena/bytes_reserved").value)
+        # The first replay reserves one graph's working set; the second
+        # graph replays entirely out of the buffers the first gave back.
+        assert reserved[0] > 0
+        assert reserved[1] == 0
+
+    def test_concurrent_borrowing_loses_no_buffer(self):
+        """Replays in every thread borrow from the process-wide pool.
+        Each key is new when the threads first meet it, so they race to
+        create its free list; a lost list or counter update would leave
+        fewer pooled buffers than fresh allocations."""
+        arena = Arena()
+        keys = [((0, i), np.dtype(np.float32)) for i in range(4000)]
+        errors = []
+
+        def worker():
+            try:
+                for key in keys:
+                    arena.give_many([(key, 1)], arena.take_many([(key, 1)]))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        fresh = len(keys) * len(threads) - arena.reuse_hits
+        assert sum(len(v) for v in arena._free.values()) == fresh
 
     def test_arena_never_pools_views(self):
         arena = get_arena()

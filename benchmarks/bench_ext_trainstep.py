@@ -14,8 +14,8 @@ Three guarantees are asserted, not just reported:
   (the fast path is an optimization, not an approximation),
 * eager reclamation lowers the peak of live tape + gradient bytes.
 
-Micro rows compare the fused RMSNorm kernel against the composed op
-chain and the flat Adam step against the per-parameter loop.
+Micro rows compare the fused RMSNorm and RoPE kernels against their
+composed op chains and the flat Adam step against the per-parameter loop.
 """
 
 import time
@@ -24,13 +24,15 @@ import numpy as np
 
 from repro.adaptive import AdaptiveLayerTrainer, AdaptiveTuningConfig
 from repro.nn import Adam, TransformerLM
+from repro.nn.attention import rope_tables
 from repro.nn.layers import RMSNorm
-from repro.tensor import Tensor, fused_kernels
+from repro.tensor import Tensor, concat, fused_kernels, rope
 
 from .common import (
     ADAPT_STEPS,
     BATCH,
     DIM,
+    HEADS,
     SEQ,
     WINDOW,
     adapt_batches,
@@ -99,6 +101,33 @@ def _rmsnorm_step_time(enabled: bool) -> float:
     return _time_loop(step)
 
 
+def _composed_rope(x, cos_t, sin_t):
+    """The 12-op rotation chain the fused ``rope`` op replaced."""
+    x1 = x[..., 0::2]
+    x2 = x[..., 1::2]
+    rot1 = x1 * cos_t - x2 * sin_t
+    rot2 = x1 * sin_t + x2 * cos_t
+    stacked = concat(
+        [rot1.reshape(*rot1.shape, 1), rot2.reshape(*rot2.shape, 1)], axis=-1
+    )
+    return stacked.reshape(*x.shape)
+
+
+def _rope_step_time(fused: bool) -> float:
+    head_dim = DIM // HEADS
+    cos, sin = rope_tables(head_dim, SEQ)
+    x_data = np.random.default_rng(0).standard_normal(
+        (BATCH, HEADS, SEQ, head_dim)
+    ).astype(np.float32)
+    apply = rope if fused else _composed_rope
+
+    def step():
+        x = Tensor(x_data, requires_grad=True)
+        apply(x, cos, sin).sum().backward()
+
+    return _time_loop(step)
+
+
 def _adam_step_time(flat: bool) -> float:
     # Many small parameters (bias/norm-like): the regime where the
     # per-parameter python loop pays ~10 numpy dispatches per parameter
@@ -147,6 +176,8 @@ def test_ext_trainstep_fast_path(benchmark):
 
     rmsnorm_composed = _rmsnorm_step_time(enabled=False)
     rmsnorm_fused = _rmsnorm_step_time(enabled=True)
+    rope_composed = _rope_step_time(fused=False)
+    rope_fused = _rope_step_time(fused=True)
     adam_loop = _adam_step_time(flat=False)
     adam_flat = _adam_step_time(flat=True)
 
@@ -163,6 +194,9 @@ def test_ext_trainstep_fast_path(benchmark):
         ["rms_norm fwd+bwd ms, composed ops", rmsnorm_composed * 1e3, 1.0],
         ["rms_norm fwd+bwd ms, fused kernel", rmsnorm_fused * 1e3,
          rmsnorm_composed / rmsnorm_fused],
+        ["rope fwd+bwd ms, composed ops", rope_composed * 1e3, 1.0],
+        ["rope fwd+bwd ms, fused kernel", rope_fused * 1e3,
+         rope_composed / rope_fused],
         ["adam step ms (200 params), per-param loop", adam_loop * 1e3, 1.0],
         ["adam step ms (200 params), flat slab", adam_flat * 1e3,
          adam_loop / adam_flat],
@@ -184,6 +218,7 @@ def test_ext_trainstep_fast_path(benchmark):
             "reclaim_reduction": peak_noreclaim / peak_fast,
             "reclaimed_bytes_per_step": float(np.median(reclaimed)),
             "fused_rmsnorm_speedup": rmsnorm_composed / rmsnorm_fused,
+            "fused_rope_speedup": rope_composed / rope_fused,
             "flat_adam_speedup": adam_loop / adam_flat,
             "final_loss": losses_fast[-1],
         },

@@ -198,7 +198,7 @@ class AdaptiveLayerTrainer:
         # Tape footprint measured when each graph was captured; replayed
         # steps run no tape, so their StepStats report the capture-time
         # measurement (the structure is identical by construction).
-        self._capture_tape: Dict[tuple, Tuple[int, int]] = {}
+        self._capture_tape: Dict[tuple, Tuple[int, int, int]] = {}
         self._graph_step: Optional[Tuple[str, tuple]] = None
 
     def _window_scope_params(self) -> List:
@@ -372,15 +372,19 @@ class AdaptiveLayerTrainer:
         if hasattr(self.schedule, "update"):
             self.schedule.update(window.exit_point, loss_value)
 
-        activation_bytes, peak_tape_bytes = tape.recorded_bytes, tape.peak_bytes
+        activation_bytes, peak_tape_bytes, reclaimed_bytes = (
+            tape.recorded_bytes, tape.peak_bytes, tape.freed_bytes
+        )
         if self._graph_step is not None:
             mode, key = self._graph_step
             if mode == "captured":
-                self._capture_tape[key] = (activation_bytes, peak_tape_bytes)
+                self._capture_tape[key] = (
+                    activation_bytes, peak_tape_bytes, reclaimed_bytes
+                )
             else:
                 captured = self._capture_tape.get(key)
                 if captured is not None:
-                    activation_bytes, peak_tape_bytes = captured
+                    activation_bytes, peak_tape_bytes, reclaimed_bytes = captured
 
         stats = StepStats(
             iteration=self.iteration,
@@ -394,7 +398,7 @@ class AdaptiveLayerTrainer:
             fold_hits=reg.counter("nn/fold/hits").value - fold_hits_before,
             fold_misses=reg.counter("nn/fold/misses").value - fold_misses_before,
             peak_tape_bytes=peak_tape_bytes,
-            reclaimed_bytes=tape.freed_bytes,
+            reclaimed_bytes=reclaimed_bytes,
             frozen_params=sum(p.size for p in frozen),
         )
         self._record_telemetry(stats)

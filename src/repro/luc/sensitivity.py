@@ -133,6 +133,7 @@ def _pair_score(
     structured: bool,
     base_loss: Optional[float],
     base_probs: Optional[np.ndarray],
+    prefix_hidden: Optional[Sequence[np.ndarray]],
 ) -> float:
     """Measure one (block, option) pair — the pool's unit of work.
 
@@ -140,6 +141,11 @@ def _pair_score(
     the option carries a structural ratio, then mask/quant wrapped),
     scored, and restored, so pair order (and which process runs which
     pair) cannot change any result.
+
+    ``prefix_hidden[i]`` is the base model's hidden state entering block
+    ``i``.  Blocks before the compressed one are untouched, so the pair
+    runs only blocks ``i..L`` and the head on it — bitwise the same
+    logits as a full forward.
     """
     block_index, option = pair
     block = model.blocks[block_index]
@@ -151,14 +157,18 @@ def _pair_score(
             # junction is sliced, mapped back to the full basis on exit.
             stack.enter_context(
                 block_slice_trial(
-                    model, block_index, option.slice_ratio, inputs
+                    model, block_index, option.slice_ratio, inputs,
+                    hidden=prefix_hidden[block_index],
                 )
             )
         stack.enter_context(
             block_compressed(block, option, structured=structured)
         )
         with no_grad():
-            logits = model(inputs).data
+            hidden = model.run_blocks(
+                Tensor(prefix_hidden[block_index]), block_index
+            )
+            logits = model.head(hidden).data
     if metric == "loss_delta":
         loss = float(nll_from_logits(logits, targets).mean())
         return max(loss - base_loss, 0.0)
@@ -239,9 +249,17 @@ def measure_sensitivity(
         if missing:
             base_loss = None
             base_probs = None
+            prefix_hidden = None
             if metric != "weight_error":
+                # One base forward, keeping the hidden state entering
+                # every block for the per-pair suffix forwards.
                 with no_grad():
-                    base_logits = model(calib_inputs).data
+                    hidden = model.embed_tokens(calib_inputs)
+                    prefix_hidden = [hidden.data]
+                    for block in model.blocks:
+                        hidden = block(hidden)
+                        prefix_hidden.append(hidden.data)
+                    base_logits = model.head(hidden).data
                 base_loss = float(nll_from_logits(base_logits, calib_targets).mean())
                 base_probs = softmax(Tensor(base_logits)).data
             task = functools.partial(
@@ -253,6 +271,7 @@ def measure_sensitivity(
                 structured=structured,
                 base_loss=base_loss,
                 base_probs=base_probs,
+                prefix_hidden=prefix_hidden,
             )
             with WorkerPool(workers) as pool:
                 # One chunk per worker: the model payload bound into the

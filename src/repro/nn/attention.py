@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..tensor import Tensor, concat, masked_fill, softmax
+from ..tensor import Tensor, concat, masked_fill, rope, softmax
 from .layers import Dropout, Linear
 from .module import Module
 
@@ -21,56 +21,33 @@ def rope_tables(head_dim: int, max_len: int, base: float = 10000.0):
     return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
 
 
+def rope_gather(cos: np.ndarray, sin: np.ndarray, offset, seq_len: int, batch: int):
+    """Gather the cos/sin rows for ``seq_len`` positions starting at ``offset``.
+
+    ``offset`` is either a scalar (one offset for the whole batch), giving
+    ``(seq_len, head_dim // 2)`` slices, or a ``(batch,)`` integer array
+    giving each row its own base position — what pooled-cache batched
+    decoding needs, where resident requests sit at different depths of
+    their own sequences — giving ``(batch, 1, seq_len, head_dim // 2)``
+    tables that broadcast over the heads axis.
+    """
+    if np.ndim(offset) == 0:
+        return cos[offset : offset + seq_len], sin[offset : offset + seq_len]
+    offsets = np.asarray(offset, dtype=np.int64)
+    if offsets.ndim != 1 or offsets.shape[0] != batch:
+        raise ValueError(f"per-row offsets must be ({batch},), got {offsets.shape}")
+    pos = offsets[:, None] + np.arange(seq_len)  # (batch, seq)
+    return cos[pos][:, None, :, :], sin[pos][:, None, :, :]
+
+
 def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray, offset=0) -> Tensor:
     """Rotate pairs of channels of ``x`` (..., T, head_dim) by position.
 
-    ``offset`` shifts the position index, used during cached decoding.  It
-    is either a scalar (one offset for the whole batch) or a ``(batch,)``
-    integer array giving each row its own base position — the latter is
-    what pooled-cache batched decoding needs, where resident requests sit
-    at different depths of their own sequences.
+    ``offset`` shifts the position index, used during cached decoding
+    (scalar or per-row, see :func:`rope_gather`).
     """
-    seq_len = x.shape[-2]
-    if np.ndim(offset) == 0:
-        cos_t = cos[offset : offset + seq_len]
-        sin_t = sin[offset : offset + seq_len]
-    else:
-        offsets = np.asarray(offset, dtype=np.int64)
-        if offsets.ndim != 1 or offsets.shape[0] != x.shape[0]:
-            raise ValueError(
-                f"per-row offsets must be ({x.shape[0]},), got {offsets.shape}"
-            )
-        pos = offsets[:, None] + np.arange(seq_len)  # (batch, seq)
-        # (batch, 1, seq, head_dim//2): broadcasts over the heads axis.
-        cos_t = cos[pos][:, None, :, :]
-        sin_t = sin[pos][:, None, :, :]
-    x1 = x[..., 0::2]
-    x2 = x[..., 1::2]
-    rot1 = x1 * cos_t - x2 * sin_t
-    rot2 = x1 * sin_t + x2 * cos_t
-    # Interleave back: stack on a new trailing axis then flatten.
-    stacked = concat(
-        [rot1.reshape(*rot1.shape, 1), rot2.reshape(*rot2.shape, 1)], axis=-1
-    )
-    return stacked.reshape(*x.shape)
-
-
-def apply_rope_tables(x: Tensor, cos_t, sin_t) -> Tensor:
-    """Rotate channel pairs of ``x`` with pre-gathered cos/sin tables.
-
-    ``cos_t``/``sin_t`` are already indexed per position — e.g.
-    ``(batch, 1, seq, head_dim // 2)`` slices of the RoPE tables — and may
-    be Tensors, which lets graph capture treat the per-row position
-    tables as replay-time *inputs* instead of baked constants.  The
-    arithmetic matches :func:`apply_rope` exactly (bitwise)."""
-    x1 = x[..., 0::2]
-    x2 = x[..., 1::2]
-    rot1 = x1 * cos_t - x2 * sin_t
-    rot2 = x1 * sin_t + x2 * cos_t
-    stacked = concat(
-        [rot1.reshape(*rot1.shape, 1), rot2.reshape(*rot2.shape, 1)], axis=-1
-    )
-    return stacked.reshape(*x.shape)
+    cos_t, sin_t = rope_gather(cos, sin, offset, x.shape[-2], x.shape[0])
+    return rope(x, cos_t, sin_t)
 
 
 class KVCache:
@@ -433,8 +410,13 @@ class MultiHeadAttention(Module):
         q = self._split_heads(self.q_proj(x))
         k = self._split_heads(self.k_proj(x), self.num_kv_heads)
         v = self._split_heads(self.v_proj(x), self.num_kv_heads)
-        q = apply_rope(q, self.rope_cos, self.rope_sin, offset=rope_offset)
-        k = apply_rope(k, self.rope_cos, self.rope_sin, offset=rope_offset)
+        # One table gather serves both q and k.
+        cos_t, sin_t = rope_gather(
+            self.rope_cos, self.rope_sin, rope_offset, seq, batch
+        )
+        cos_t, sin_t = Tensor(cos_t), Tensor(sin_t)
+        q = rope(q, cos_t, sin_t)
+        k = rope(k, cos_t, sin_t)
 
         if cache is not None:
             # Cached in kv-head layout: GQA shrinks the cache itself.
@@ -499,8 +481,8 @@ class MultiHeadAttention(Module):
         q = self._split_heads(self.q_proj(x))
         k = self._split_heads(self.k_proj(x), self.num_kv_heads)
         v = self._split_heads(self.v_proj(x), self.num_kv_heads)
-        q = apply_rope_tables(q, cos_t, sin_t)
-        k_new = apply_rope_tables(k, cos_t, sin_t)
+        q = rope(q, cos_t, sin_t)
+        k_new = rope(k, cos_t, sin_t)
         k_all = concat([k_prefix, k_new], axis=2)
         v_all = concat([v_prefix, v], axis=2)
         k_exp = self._expand_kv(k_all)

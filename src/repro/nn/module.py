@@ -15,6 +15,23 @@ import numpy as np
 from ..tensor import Tensor
 
 
+# Process-wide structure epoch: bumped whenever a Parameter or Module is
+# (re)registered anywhere, so callers can memoise parameter-tree walks
+# and recompute them only after a structural edit.
+_STRUCTURE_EPOCH = 0
+
+
+def structure_epoch() -> int:
+    """Counter that moves on every Parameter/Module (re)registration."""
+    return _STRUCTURE_EPOCH
+
+
+def bump_structure_epoch() -> None:
+    """Record a structural edit made without ``Module.__setattr__``."""
+    global _STRUCTURE_EPOCH
+    _STRUCTURE_EPOCH += 1
+
+
 class Parameter(Tensor):
     """A Tensor that is a trainable leaf of a Module."""
 
@@ -42,8 +59,10 @@ class Module:
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
             self._parameters[name] = value
+            bump_structure_epoch()
         elif isinstance(value, Module):
             self._modules[name] = value
+            bump_structure_epoch()
         object.__setattr__(self, name, value)
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
@@ -184,6 +203,7 @@ class ModuleList(Module):
     def append(self, module: Module) -> "ModuleList":
         self._modules[str(len(self._items))] = module
         self._items.append(module)
+        bump_structure_epoch()
         return self
 
     def __getitem__(self, index):

@@ -438,9 +438,14 @@ def block_slice_trial(
     ratio: float,
     calib_ids: np.ndarray,
     round_to: int = 8,
+    hidden: Optional[np.ndarray] = None,
 ):
     """Temporarily slice *one* block's post-attention junction, fully
     restorable — the unit the LUC sensitivity sweep scores.
+
+    ``hidden``, when given, is the unmodified model's hidden state
+    entering the block on ``calib_ids``; it replaces the prefix forward
+    that would otherwise recompute it.
 
     Only the junction between the block's attention and MLP is sliced:
     ``o_proj`` loses columns, ``gate/up`` lose rows, and the two shortcut
@@ -462,9 +467,10 @@ def block_slice_trial(
     model.eval()
 
     with no_grad():
-        hid = model.embed_tokens(np.asarray(calib_ids, dtype=np.int64))
-        hid = model.run_blocks(hid, 0, block_index)
-        x = hid.data.astype(np.float64)
+        if hidden is None:
+            hid = model.embed_tokens(np.asarray(calib_ids, dtype=np.int64))
+            hidden = model.run_blocks(hid, 0, block_index).data
+        x = hidden.astype(np.float64)
         attn_out = block.attn(block.attn_norm(Tensor(x))).data
     q_full, energy = pca_rotation(x + attn_out)
     d_r = slice_dim(d, ratio, round_to)

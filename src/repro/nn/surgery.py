@@ -25,7 +25,7 @@ import contextlib
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .module import Module, ModuleList
+from .module import Module, ModuleList, bump_structure_epoch
 
 UndoToken = Union[Tuple[Module, str, Module], object]
 
@@ -52,6 +52,7 @@ def _set_child(parent: Module, attr: str, module: Module) -> None:
     if isinstance(parent, ModuleList):
         parent._modules[attr] = module
         parent._items[int(attr)] = module
+        bump_structure_epoch()
     else:
         setattr(parent, attr, module)
 

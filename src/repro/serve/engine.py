@@ -59,7 +59,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.attention import KVCache, apply_rope
+from ..nn.attention import KVCache, apply_rope, rope_gather
+from ..nn.module import structure_epoch
 from ..obs import get_registry
 from ..tensor import (
     GraphCache,
@@ -150,6 +151,7 @@ class GenerationEngine:
         # against the authoritative per-entry caches (entry identity,
         # lengths, and cache-array identity) before reuse.
         self._slab_state = None
+        self._structure_memo = None
         model.eval()
 
     @property
@@ -505,22 +507,37 @@ class GenerationEngine:
                     recorder.add_input(t)
                     tensors.append(t)
                 outputs = build(tensors)
-            # Structural rewrites (slicing, requantization) swap whole
-            # parameter objects, which per-leaf version checks cannot
-            # see; pin the parameter identity set so such rewrites force
-            # a re-capture instead of a stale replay.
-            snapshot = self._param_ids()
-            recorder.add_guard(lambda: self._param_ids() == snapshot)
+            # Structural rewrites (slicing, requantization, LUC wrapping)
+            # swap whole parameter or module objects, which per-leaf
+            # version checks cannot see; pin the module and parameter
+            # identities so such rewrites force a re-capture instead of
+            # a stale replay.
+            snapshot = self._structure_ids()
+            recorder.add_guard(lambda: self._structure_ids() == snapshot)
             graph = recorder.finalize(outputs=outputs)
             cache.store(key, graph)
             return [np.asarray(o.data) for o in outputs]
         return graph.replay(arrays)
 
-    def _param_ids(self) -> Tuple[int, ...]:
-        ids = [id(p) for p in self.model.parameters()]
-        if self.draft_heads is not None:
-            ids.extend(id(p) for p in self.draft_heads.parameters())
-        return tuple(ids)
+    def _structure_ids(self) -> Tuple[int, ...]:
+        """Identities of every module and parameter under the model (and
+        draft heads).  Memoised against the module structure epoch, which
+        every Parameter/Module registration bumps, so the tree walk runs
+        once per structural edit instead of on every graph lookup."""
+        key = (structure_epoch(), self.model, self.draft_heads)
+        memo = self._structure_memo
+        if memo is None or memo[0] != key:
+            roots = [self.model]
+            if self.draft_heads is not None:
+                roots.append(self.draft_heads)
+            ids = tuple(
+                id(obj)
+                for root in roots
+                for module in root.modules()
+                for obj in (module, *module._parameters.values())
+            )
+            memo = self._structure_memo = (key, ids)
+        return memo[1]
 
     def _bucket_len(self, max_len: int, seq_budget: int) -> int:
         """Round the batch's max cache length up to the bucket grid (so
@@ -534,10 +551,8 @@ class GenerationEngine:
     def _rope_slices(self, positions: np.ndarray, seq: int):
         """Per-row cos/sin tables ``(batch, 1, seq, head_dim // 2)``."""
         attn = self.model.blocks[0].attn
-        pos = positions[:, None] + np.arange(seq)
-        return (
-            attn.rope_cos[pos][:, None, :, :],
-            attn.rope_sin[pos][:, None, :, :],
+        return rope_gather(
+            attn.rope_cos, attn.rope_sin, positions, seq, positions.shape[0]
         )
 
     @staticmethod

@@ -233,6 +233,61 @@ class RmsNormOp(Op):
             yield 0, (g1 + g2) + g2
 
 
+class RopeOp(Op):
+    """Fused rotary position embedding over interleaved channel pairs.
+
+    Parents are ``(x, cos_t, sin_t)``: ``x`` is ``(..., head_dim)`` and
+    the tables broadcast against its ``(..., head_dim // 2)`` pair view.
+    The tables are non-differentiable parents, so a captured decode graph
+    takes per-row tables as replay-time inputs.
+
+    Bit-equivalent to the composed chain ``x1*cos - x2*sin``,
+    ``x1*sin + x2*cos`` re-interleaved: the forward runs the same float
+    ops, and each half of the input gradient is the same two-term sum
+    (``a - b`` is ``a + (-b)`` exactly).  The composed chain routes the
+    gradient through two zero-filled strided scatters, which turn a
+    ``-0.0`` sum into ``+0.0``; adding ``0`` reproduces that.
+    """
+
+    name = "rope"
+    supports_out = True
+
+    def forward(self, inputs, attrs, out=None):
+        xd, cos, sin = inputs
+        if out is None:
+            # Same memory layout as ``x`` (e.g. the head-split transpose),
+            # like the composed chain's elementwise ops and concat, so
+            # downstream matmuls see the same strides.
+            out = np.empty_like(xd, dtype=np.result_type(xd, cos, sin))
+        # One contiguous copy of a transposed input makes the four
+        # strided products stream (~30% faster at attention sizes).
+        xc = np.ascontiguousarray(xd)
+        x1 = xc[..., 0::2]
+        x2 = xc[..., 1::2]
+        a = x1 * cos
+        b = x2 * sin
+        np.subtract(a, b, out=out[..., 0::2])
+        np.multiply(x1, sin, out=a)
+        np.multiply(x2, cos, out=b)
+        np.add(a, b, out=out[..., 1::2])
+        return out, (cos, sin)
+
+    def vjp(self, ctx, grad, needs):
+        cos, sin = ctx
+        if needs[0]:
+            g1 = grad[..., 0::2]
+            g2 = grad[..., 1::2]
+            gx = np.empty(grad.shape, dtype=np.result_type(grad, cos, sin))
+            a = g1 * cos
+            b = g2 * sin
+            np.add(a, b, out=gx[..., 0::2])
+            np.multiply(g2, cos, out=a)
+            np.multiply(g1, sin, out=b)
+            np.subtract(a, b, out=gx[..., 1::2])
+            gx += 0
+            yield 0, gx
+
+
 class LayerNormOp(Op):
     """Fused LayerNorm over the last axis as one tape node.
 
@@ -361,6 +416,7 @@ _GELU = GeluOp()
 _SILU = SiluOp()
 _SILU_MUL = SiluMulOp()
 _RMS_NORM = RmsNormOp()
+_ROPE = RopeOp()
 _LAYER_NORM = LayerNormOp()
 _BIAS_ACT = BiasActOp()
 _EMBEDDING = EmbeddingOp()
@@ -429,6 +485,20 @@ def silu_mul(a: Tensor, b: Tensor) -> Tensor:
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
     """Fused RMSNorm ``x * (mean(x²) + eps)^-½ * weight`` as one tape node."""
     return apply_op(_RMS_NORM, (_ensure_tensor(x), _ensure_tensor(weight)), eps)
+
+
+def rope(x: Tensor, cos_t, sin_t) -> Tensor:
+    """Fused rotary embedding of ``x`` (..., head_dim) as one tape node.
+
+    ``cos_t``/``sin_t`` are position-gathered tables broadcasting against
+    ``x``'s ``(..., head_dim // 2)`` channel pairs.  They take no
+    gradient.  Always fused: there is no composed path to toggle back to.
+    """
+    cos_t = _ensure_tensor(cos_t)
+    sin_t = _ensure_tensor(sin_t)
+    if cos_t.requires_grad or sin_t.requires_grad:
+        raise ValueError("rope tables are constants and cannot require grad")
+    return apply_op(_ROPE, (_ensure_tensor(x), cos_t, sin_t))
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -88,3 +88,19 @@ class TestCounters:
             run_losses(state, batches, graph_capture=False)
         assert reg.counter("tensor/graph/captures").value == 0
         assert reg.counter("tensor/graph/replays").value == 0
+
+
+class TestReplayedStepStats:
+    def test_replayed_step_reports_capture_time_tape_bytes(self, adapt_corpus):
+        """Replayed steps run no tape; they report what their graph's
+        capture step measured, reclaimed bytes included."""
+        trainer = AdaptiveLayerTrainer(
+            untied_model(), window_config(graph_capture=True, window=4)
+        )
+        stats = [trainer.train_step(i, t) for i, t in train_batches(adapt_corpus, 3)]
+        captured, replayed = stats[0], stats[1:]
+        assert captured.reclaimed_bytes > 0
+        for step in replayed:
+            assert step.reclaimed_bytes == captured.reclaimed_bytes
+            assert step.activation_bytes == captured.activation_bytes
+            assert step.peak_tape_bytes == captured.peak_tape_bytes

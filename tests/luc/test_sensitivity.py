@@ -137,3 +137,52 @@ class TestMeasureSensitivity:
             [LayerCompression(16, 0.0)] * pretrained_model.num_layers
         )
         assert profile.predicted_degradation(policy) == 0.0
+
+
+def full_forward_scores(model, inputs, targets, options, metric):
+    """Reference sweep: one full-depth forward per (block, option) pair."""
+    from repro.nn.slicing import block_slice_trial
+    from repro.tensor import Tensor, nll_from_logits, no_grad, softmax
+
+    model.eval()
+    with no_grad():
+        base_logits = model(inputs).data
+    base_loss = float(nll_from_logits(base_logits, targets).mean())
+    base_probs = softmax(Tensor(base_logits)).data
+    scores = {}
+    for i in range(model.num_layers):
+        for option in options:
+            with block_slice_trial(model, i, option.slice_ratio, inputs):
+                with block_compressed(model.blocks[i], option), no_grad():
+                    logits = model(inputs).data
+            if metric == "loss_delta":
+                loss = float(nll_from_logits(logits, targets).mean())
+                scores[(i, option)] = max(loss - base_loss, 0.0)
+            else:
+                probs = softmax(Tensor(logits)).data
+                kl = base_probs * (
+                    np.log(base_probs + 1e-9) - np.log(probs + 1e-9)
+                )
+                scores[(i, option)] = max(float(kl.sum(-1).mean()), 0.0)
+    return scores
+
+
+class TestPrefixReuse:
+    """Pairs start from the base forward's hidden state entering their
+    block; the scores must equal a full-forward sweep bit for bit."""
+
+    SWEEP = OPTIONS + [LayerCompression(8, 0.0, slice_ratio=0.5)]
+
+    @pytest.mark.parametrize("metric", ["loss_delta", "kl"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scores_match_full_forward(self, pretrained_model, calib, metric, workers):
+        inputs, targets = calib
+        profile = measure_sensitivity(
+            pretrained_model, inputs, targets, self.SWEEP,
+            metric=metric, workers=workers,
+        )
+        reference = full_forward_scores(
+            pretrained_model, inputs, targets, self.SWEEP, metric
+        )
+        assert profile.scores == reference
+        assert any(v > 0 for v in reference.values())

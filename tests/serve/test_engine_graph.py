@@ -125,3 +125,65 @@ class TestSlicing:
             self.scenario(pretrained_state, adapt_corpus, True)
         assert reg.counter("tensor/graph/invalidations").value >= 1
         assert reg.counter("tensor/graph/captures").value >= 2
+
+
+class TestStructureGuard:
+    """Decode graphs pin module and parameter identities.  The identity
+    walk is memoised against the module structure epoch, so it must
+    still see every registration path: LUC wrapping and unwrapping
+    (surgery) and a plain setattr replacing a Parameter."""
+
+    def edits(self, model):
+        from repro.luc import LayerCompression, LUCPolicy, apply_luc, remove_luc
+        from repro.nn import Parameter
+
+        policy = LUCPolicy([LayerCompression(2, 0.5)] * model.num_layers)
+        undo = []
+        yield "apply_luc", lambda: undo.extend(apply_luc(model, policy))
+        yield "remove_luc", lambda: remove_luc(undo)
+
+        def replace_param():
+            proj = model.blocks[1].attn.q_proj
+            proj.weight = Parameter(proj.weight.data * 2.0)
+
+        yield "setattr", replace_param
+
+    def scenario(self, pretrained_state, capture):
+        model = clone(pretrained_state)
+        engine = GenerationEngine(model)
+        reg = MetricsRegistry()
+        phases = []
+        with use_registry(reg), graph_capture(capture):
+            greedy(engine, prefill_entries(engine), 3)
+            for name, edit in self.edits(model):
+                before = reg.counter("tensor/graph/invalidations").value
+                edit()
+                tokens = greedy(engine, prefill_entries(engine), 3)
+                after = reg.counter("tensor/graph/invalidations").value
+                phases.append((name, tokens, after - before))
+        return phases
+
+    def test_each_edit_forces_recapture(self, pretrained_state):
+        captured = self.scenario(pretrained_state, True)
+        direct = self.scenario(pretrained_state, False)
+        for (name, tokens, invalidated), (_, want, _) in zip(captured, direct):
+            assert invalidated >= 1, name
+            assert tokens == want, name
+
+    def test_lookups_without_edits_skip_the_tree_walk(
+        self, pretrained_model, monkeypatch
+    ):
+        engine = GenerationEngine(pretrained_model)
+        entries = prefill_entries(engine)
+        with graph_capture(True):
+            greedy(engine, entries, 2)
+            walks = []
+            cls = type(pretrained_model)
+            for name in ("modules", "parameters"):
+                original = getattr(cls, name)
+                monkeypatch.setattr(
+                    cls, name,
+                    lambda self, _f=original: walks.append(1) or _f(self),
+                )
+            greedy(engine, entries, 4)
+        assert walks == []
